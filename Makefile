@@ -2,12 +2,12 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples clean coverage
+.PHONY: install test test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry bench-encode-smoke profile examples clean coverage
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
 
-test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke
+test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke bench-encode-smoke
 	$(PYTHON) -m pytest tests/
 
 # Live-socket gate: a small real-UDP mesh on one event loop must deliver
@@ -79,6 +79,13 @@ bench-telemetry-smoke:
 # into BENCH_core.json.
 bench-telemetry:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_telemetry.py
+
+# Envelope encoder gate: every envelope of a seeded N=50 push-pull run
+# must encode byte-identically to ElementTree's write, and the one-walk
+# encoder must beat it by >= 1.5x (interleaved min-CPU on the same host;
+# see benchmarks/bench_encode.py).
+bench-encode-smoke:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_encode.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -50,7 +50,7 @@ from repro.core.store import DurabilityPolicy, GossipLog
 from repro.core.telemetry import TelemetryPolicy
 from repro.obs.hub import hub_of
 from repro.soap import namespaces as ns
-from repro.soap.envelope import Envelope
+from repro.soap.envelope import Envelope, EnvelopeError
 from repro.soap.handler import Direction, MessageContext
 from repro.soap.runtime import SoapRuntime
 from repro.transport.base import split_address
@@ -1408,7 +1408,8 @@ class GossipEngine:
                 continue
             try:
                 envelope = Envelope.from_bytes(stored.data)
-            except Exception:
+            except EnvelopeError:
+                self.metrics.counter("recovery.unparseable").inc()
                 continue
             header = GossipHeader.from_envelope(envelope)
             if header is None or header.sequence is None:

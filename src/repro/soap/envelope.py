@@ -18,7 +18,7 @@ repository does.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from repro.obs.hub import current_hub
 from repro.soap import namespaces as ns
@@ -27,6 +27,11 @@ from repro.xmlutil.text import XmlParseError
 
 _ENVELOPE_NS = {"1.1": ns.SOAP11_ENV, "1.2": ns.SOAP12_ENV}
 _NS_TO_VERSION = {uri: version for version, uri in _ENVELOPE_NS.items()}
+# (Envelope, Header, Body) tags per SOAP version.
+_TAGS = {
+    version: tuple(qname(uri, local) for local in ("Envelope", "Header", "Body"))
+    for version, uri in _ENVELOPE_NS.items()
+}
 
 
 class EnvelopeError(ValueError):
@@ -125,8 +130,13 @@ class Envelope:
 
     def remove_header(self, tag: str) -> int:
         """Remove all header blocks with the given tag; returns how many."""
+        return self.remove_headers((tag,))
+
+    def remove_headers(self, tags: Collection[str]) -> int:
+        """Remove all header blocks whose tag is in ``tags``, in one pass;
+        returns how many."""
         before = len(self._headers)
-        self._headers = [element for element in self._headers if element.tag != tag]
+        self._headers = [element for element in self._headers if element.tag not in tags]
         removed = before - len(self._headers)
         if removed:
             self._wire = None
@@ -148,12 +158,12 @@ class Envelope:
 
     def to_element(self) -> ET.Element:
         """Build the ``Envelope`` element tree."""
-        env_ns = self.envelope_namespace
-        root = ET.Element(qname(env_ns, "Envelope"))
+        envelope_tag, header_tag, body_tag = _TAGS[self.version]
+        root = ET.Element(envelope_tag)
         if self._headers:
-            header = ET.SubElement(root, qname(env_ns, "Header"))
+            header = ET.SubElement(root, header_tag)
             header.extend(self._headers)
-        body = ET.SubElement(root, qname(env_ns, "Body"))
+        body = ET.SubElement(root, body_tag)
         if self._body is not None:
             body.append(self._body)
         return root
@@ -183,14 +193,14 @@ class Envelope:
         if root.tag.startswith("{"):
             uri = root.tag[1:].partition("}")[0]
             version = _NS_TO_VERSION.get(uri)
-        if version is None or local_name(root.tag) != "Envelope":
+        if version is None or root.tag != _TAGS[version][0]:
             raise EnvelopeError(f"not a SOAP envelope root: {root.tag!r}")
-        env_ns = _ENVELOPE_NS[version]
+        _, header_tag, body_tag = _TAGS[version]
 
-        header_element = root.find(qname(env_ns, "Header"))
+        header_element = root.find(header_tag)
         headers = list(header_element) if header_element is not None else []
 
-        body_element = root.find(qname(env_ns, "Body"))
+        body_element = root.find(body_tag)
         if body_element is None:
             raise EnvelopeError("SOAP envelope has no Body")
         children = list(body_element)

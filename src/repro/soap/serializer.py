@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import math
+import re
 import xml.etree.ElementTree as ET
 from typing import Any
 
@@ -28,6 +29,22 @@ class SerializationError(ValueError):
 
 _ITEM_TAG = qname(ns.PAYLOAD, "item")
 _ENTRY_TAG = qname(ns.PAYLOAD, "entry")
+
+# Characters outside XML 1.0's ``Char`` production: C0 controls other
+# than tab/LF/CR, lone surrogates, U+FFFE and U+FFFF.  Attribute values
+# (map keys) may hold CR, since the encoder writes it as ``&#13;``; text
+# may not, since parsing normalizes a literal CR to LF.
+_NOT_XML_ATTRIBUTE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_NOT_XML_TEXT = re.compile(r"[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _utf8(value: str) -> bytes:
+    try:
+        return value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SerializationError(
+            f"string holds a lone surrogate at index {exc.start}"
+        ) from exc
 
 
 def to_element(tag: str, value: Any) -> ET.Element:
@@ -54,14 +71,17 @@ def _fill(element: ET.Element, value: Any) -> None:
         element.set("t", "float")
         element.text = repr(value)  # repr round-trips doubles exactly
     elif isinstance(value, str):
-        if "\r" in value:
-            # XML 1.0 line-ending normalization turns a literal CR into LF
-            # on parse, so CR-bearing strings ride base64-encoded instead.
-            element.set("t", "str64")
-            element.text = base64.b64encode(value.encode("utf-8")).decode("ascii")
-        else:
+        # ``isprintable`` is the cheap common case: it is False for every
+        # character the pattern matches (and for some it does not).
+        if value.isprintable() or _NOT_XML_TEXT.search(value) is None:
             element.set("t", "str")
             element.text = value
+        else:
+            # XML 1.0 cannot carry most C0 controls or U+FFFE/U+FFFF at
+            # all, and line-ending normalization turns a literal CR into
+            # LF on parse, so such strings ride base64-encoded instead.
+            element.set("t", "str64")
+            element.text = base64.b64encode(_utf8(value)).decode("ascii")
     elif isinstance(value, (bytes, bytearray)):
         element.set("t", "bytes")
         element.text = base64.b64encode(bytes(value)).decode("ascii")
@@ -76,6 +96,10 @@ def _fill(element: ET.Element, value: Any) -> None:
             if not isinstance(key, str):
                 raise SerializationError(
                     f"map keys must be str, got {type(key).__name__}"
+                )
+            if not key.isprintable() and _NOT_XML_ATTRIBUTE.search(key) is not None:
+                raise SerializationError(
+                    f"map key {key!r} holds characters XML 1.0 cannot carry"
                 )
             child = ET.SubElement(element, _ENTRY_TAG)
             child.set("k", key)

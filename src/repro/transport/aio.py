@@ -1016,7 +1016,8 @@ class AsyncHttpNode(_AsyncNodeBase):
                 try:
                     self.runtime.receive(body, source=None)
                 except Exception:  # noqa: BLE001 - a raising service must
-                    pass  # not take the connection (or its pipeline) down
+                    # not take the connection (or its pipeline) down.
+                    self.runtime.metrics.counter("soap.service-error").inc()
             return status, extra, b""
         if method == "GET":
             if path == HEALTH_PATH:

@@ -26,6 +26,7 @@ _REPLY_TO = qname(ns.WSA, "ReplyTo")
 _FROM = qname(ns.WSA, "From")
 _ADDRESS = qname(ns.WSA, "Address")
 _REFERENCE_PARAMETERS = qname(ns.WSA, "ReferenceParameters")
+_MAP_TAGS = frozenset((_TO, _ACTION, _MESSAGE_ID, _RELATES_TO, _REPLY_TO, _FROM))
 
 
 def new_message_id() -> str:
@@ -93,8 +94,7 @@ class AddressingHeaders:
     def apply(self, envelope: Envelope) -> None:
         """Write these MAPs into the envelope's headers (replacing any
         existing WS-A headers)."""
-        for tag in (_TO, _ACTION, _MESSAGE_ID, _RELATES_TO, _REPLY_TO, _FROM):
-            envelope.remove_header(tag)
+        envelope.remove_headers(_MAP_TAGS)
         if self.to is not None:
             element = ET.Element(_TO)
             element.text = self.to

@@ -200,3 +200,22 @@ class TestConfigSurface:
 
     def test_none_means_no_durability(self):
         assert GossipConfig().durability is None
+
+
+class TestUnparseableReplay:
+    def test_unparseable_stored_bytes_are_counted(self):
+        group = make_group(ordered=True, seed=17, style="push-pull")
+        m1 = group.publish({"k": 1})
+        group.run_for(4.0)
+        victim = group.disseminators[2]
+        engine = victim.gossip_layer.engine_for(group.activity_id)
+        victim.crash()
+        group.run_for(1.0)
+        # A WAL record whose bytes survived framing but are not an envelope.
+        engine.log.append(
+            {"type": "msg", "id": "urn:ws-gossip:msg:garbled", "data": b"<not-xml",
+             "at": 0.0, "origin": "sim://nowhere/app"}
+        )
+        victim.restart(amnesia=False)
+        assert victim.has_delivered(m1)
+        assert engine.metrics.counter("recovery.unparseable").value == 1

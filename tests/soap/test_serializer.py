@@ -12,25 +12,38 @@ from repro.xmlutil import canonical_bytes, parse_bytes
 
 TAG = "{urn:test}payload"
 
-# Text that survives XML 1.0 (no control chars, no surrogates).
-xml_text = st.text(
+# Map keys XML 1.0 can carry in an attribute (no C0 controls other than
+# tab/LF/CR, no surrogates, no U+FFFE/U+FFFF); other keys are rejected.
+xml_key = st.text(
     alphabet=st.characters(
-        blacklist_categories=("Cs",), blacklist_characters="\x00\x0b\x0c\x0e\x0f"
+        blacklist_categories=("Cs",), blacklist_characters="\ufffe\uffff"
     ).filter(lambda c: c >= " " or c in "\t\n\r"),
     max_size=60,
 )
 
+# String values are any text at all: lone surrogates are rejected at send
+# time, everything else must round-trip.
 json_like = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2**62), max_value=2**62)
     | st.floats(allow_nan=False, allow_infinity=False)
-    | xml_text
+    | st.text(max_size=60)
     | st.binary(max_size=60),
     lambda children: st.lists(children, max_size=5)
-    | st.dictionaries(xml_text, children, max_size=5),
+    | st.dictionaries(xml_key, children, max_size=5),
     max_leaves=25,
 )
+
+
+def has_surrogate(value):
+    if isinstance(value, str):
+        return any("\ud800" <= c <= "\udfff" for c in value)
+    if isinstance(value, list):
+        return any(has_surrogate(item) for item in value)
+    if isinstance(value, dict):
+        return any(has_surrogate(item) for item in value.values())
+    return False
 
 
 def round_trip(value):
@@ -133,11 +146,55 @@ def test_map_entry_without_key_rejected():
         from_element(element)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["a\x00b", "a\x01b", "\x08\x0b\x0c\x1f", "\x1b[0m", "\ufffe\uffff", "cr\r\x00"],
+)
+def test_strings_xml_cannot_carry_round_trip(value):
+    element = to_element(TAG, value)
+    assert element.get("t") == "str64"
+    assert round_trip(value) == value
+
+
+@pytest.mark.parametrize("value", ["\ud800", "a\udfffb", ["ok", {"k": "\udc80"}]])
+def test_lone_surrogate_rejected_at_send_time(value):
+    with pytest.raises(SerializationError, match="surrogate"):
+        to_element(TAG, value)
+
+
+@pytest.mark.parametrize("key", ["a\x00", "\x01", "\ud800", "\uffff"])
+def test_map_key_xml_cannot_carry_rejected(key):
+    with pytest.raises(SerializationError, match="cannot carry"):
+        to_element(TAG, {key: 1})
+
+
+def test_map_key_with_cr_tab_lf_round_trips():
+    value = {"a\rb": 1, "c\td": 2, "e\nf": 3}
+    assert round_trip(value) == value
+
+
 @given(json_like)
 def test_round_trip_property(value):
-    assert round_trip(value) == value
+    if has_surrogate(value):
+        with pytest.raises(SerializationError):
+            to_element(TAG, value)
+    else:
+        assert round_trip(value) == value
 
 
-@given(st.dictionaries(xml_text, st.integers(), max_size=8))
+@given(st.dictionaries(xml_key, st.integers(), max_size=8))
 def test_map_preserves_all_keys(value):
     assert round_trip(value) == value
+
+
+@given(st.text(max_size=20))
+def test_map_key_round_trips_or_is_rejected(key):
+    value = {key: None}
+    carried = all(c >= " " or c in "\t\n\r" for c in key) and not any(
+        "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff" for c in key
+    )
+    if carried:
+        assert round_trip(value) == value
+    else:
+        with pytest.raises(SerializationError):
+            to_element(TAG, value)

@@ -13,6 +13,8 @@ import time
 import pytest
 
 from repro.obs.hub import default_hub
+from repro.soap.envelope import Envelope
+from repro.soap.serializer import to_element
 from repro.soap.service import Service, operation
 from repro.transport.aio import (
     AioHttpTransport,
@@ -22,8 +24,10 @@ from repro.transport.aio import (
     shared_loop,
 )
 from repro.transport.edge import IdempotencyIndex
+from repro.wsa.addressing import AddressingHeaders
 
 ACTION = "urn:t/Take"
+BROKEN_ACTION = "urn:t/Broken"
 
 
 class Sink(Service):
@@ -35,6 +39,10 @@ class Sink(Service):
     def take(self, context, value):
         self.values.append(value)
         return None
+
+    @operation(BROKEN_ACTION)
+    def broken(self, context, value):
+        raise RuntimeError("service bug")
 
 
 def wait_for(predicate, timeout=5.0):
@@ -128,6 +136,18 @@ class TestIdempotentIngest:
         for _ in range(2):
             status, _, _ = post(client, url, b"not-an-envelope")
             assert status == 202
+
+    def test_raising_service_is_counted(self, node, client):
+        envelope = Envelope(body=to_element("{urn:t}Broken", 1))
+        AddressingHeaders(
+            to=f"{node.base_address}/svc", action=BROKEN_ACTION,
+            message_id="urn:uuid:broken-1",
+        ).apply(envelope)
+        errors = node.runtime.metrics.counter("soap.service-error")
+        before = errors.value
+        status, _, _ = post(client, f"{node.base_address}/v1/gossip", envelope.to_bytes())
+        assert status == 202
+        assert errors.value == before + 1
 
     def test_index_is_bounded(self):
         index = IdempotencyIndex(capacity=2)
