@@ -8,7 +8,7 @@ install:
 	pip install -e . || pip install -e . --no-build-isolation
 
 test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke bench-encode-smoke
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Live-socket gate: a small real-UDP mesh on one event loop must deliver
 # the stock workload to >= 99% of nodes with a sane p99 while the
@@ -88,7 +88,7 @@ bench-encode-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_encode.py
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Fast wire-path regression gate: a live N=100 batched run (delivery,
 # batch traffic, pre-parse dedup) plus the checked-in BENCH_core.json
@@ -141,11 +141,11 @@ profile:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_core.py --profile
 
 examples:
-	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script || exit 1; done
+	for script in examples/*.py; do echo "== $$script =="; PYTHONPATH=src $(PYTHON) $$script || exit 1; done
 
 record:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .hypothesis

@@ -60,7 +60,7 @@ def main() -> None:
             >= 5,
             what="subscriptions",
         )
-        engines[0].refresh_view()
+        initiator.refresh_view(activity_id)
         wait_for(lambda: len(engines[0].view) >= 3, what="peer view")
 
         gossip_id = initiator.publish(activity_id, ACTION, {"symbol": "SWX",

@@ -42,24 +42,6 @@ from repro.simnet.events import Simulator
 from repro.simnet.metrics import ControlStats, HealthStats, RecoveryStats, WireStats
 from repro.stats import summarize
 
-#: Deprecated process-global stat aliases, resolved lazily so plain
-#: ``import repro`` never fires a DeprecationWarning.
-_DEPRECATED_STATS = (
-    "BATCH_STATS",
-    "CONTROL_STATS",
-    "HEALTH_STATS",
-    "RECOVERY_STATS",
-    "WIRE_STATS",
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_STATS:
-        from repro.simnet import metrics as _metrics
-
-        return getattr(_metrics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -72,9 +54,7 @@ __all__ = [
     "GossipLog",
     "GossipParams",
     "GossipStyle",
-    "CONTROL_STATS",
     "ControlStats",
-    "HEALTH_STATS",
     "HealthPolicy",
     "MetricsHub",
     "Profiler",
@@ -83,10 +63,8 @@ __all__ = [
     "HealthStats",
     "ParamError",
     "PeerHealth",
-    "RECOVERY_STATS",
     "RecoveryStats",
     "Simulator",
-    "WIRE_STATS",
     "WireStats",
     "atomic_delivery_probability",
     "expected_rounds",

@@ -384,8 +384,8 @@ class GossipGroup:
         self.sim = Simulator(seed=self.config.seed)
         self.trace = TraceLog(enabled=self.config.trace)
         # One observability hub per group: chained to the default hub so
-        # process-wide aggregates (the deprecated *_STATS aliases) still
-        # see this simulation, but never shared with another group.
+        # the process-wide aggregates the benchmarks read still see this
+        # simulation, but never shared with another group.
         self.metrics = MetricsHub(parent=default_hub(), name="gossip-group")
         self.hub = self.metrics
         self.hub.tracer.enabled = self.config.rumor_tracing

@@ -4,6 +4,15 @@ The same middleware classes that run in the simulator bind here to real
 localhost HTTP servers and wall-clock timers -- demonstrating the stack is
 transport-agnostic.  Used by the HTTP integration test and the
 ``examples/http_deployment.py`` demo.
+
+Every role serves an :class:`~repro.transport.aio.AsyncHttpNode` on the
+process-wide :func:`~repro.transport.aio.shared_loop`, with engine timers
+on an :class:`~repro.transport.aio.AioScheduler` over the same loop.  The
+facade methods callers use from their own thread (``activate``,
+``publish``, ``subscribe``, ``refresh_view``) hop onto the loop with
+:func:`~repro.transport.aio.run_on_loop`, so all runtime and engine state
+lives on the loop thread, exactly as it lives on one thread under the
+simulator.
 """
 
 from __future__ import annotations
@@ -16,12 +25,16 @@ from repro.core.engine import PROTOCOL_INITIATOR, GossipEngine
 from repro.core.handler import GossipLayer
 from repro.core.message import GossipHeader
 from repro.core.params import GossipParams
-from repro.core.scheduling import ThreadScheduler
 from repro.core.service import GossipService
 from repro.core.subscription import SUBSCRIBE_ACTION, SubscriptionService
 from repro.soap import namespaces as ns
 from repro.soap.service import Service
-from repro.transport.http import HttpNode
+from repro.transport.aio import (
+    AioScheduler,
+    AsyncHttpNode,
+    run_on_loop,
+    shared_loop,
+)
 from repro.wscoord.activation import CREATE_ACTION, ActivationService
 from repro.wscoord.context import CoordinationContext
 from repro.wscoord.coordinator import Coordinator
@@ -30,11 +43,20 @@ from repro.wscoord.registration import RegistrationService
 APP_PATH = "/app"
 
 
+def _on_node_loop(node: AsyncHttpNode, function: Callable, *args, **kwargs) -> Any:
+    """Run ``function(*args, **kwargs)`` on ``node``'s loop thread and wait."""
+
+    async def call() -> Any:
+        return function(*args, **kwargs)
+
+    return run_on_loop(node.loop, call())
+
+
 class HttpCoordinator:
     """Coordinator role over HTTP."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, seed: int = 0) -> None:
-        self.node = HttpNode(host, port)
+        self.node = AsyncHttpNode(host, port, loop=shared_loop())
         self.coordinator = Coordinator(
             lambda activity_id: self.node.runtime.epr(
                 "/registration", ActivityId=activity_id
@@ -72,7 +94,7 @@ class HttpAppNode:
     """Consumer role over HTTP: plain stack plus a recording app service."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self.node = HttpNode(host, port)
+        self.node = AsyncHttpNode(host, port, loop=shared_loop())
         self.app_service = Service()
         self.node.runtime.add_service(APP_PATH, self.app_service)
         self.deliveries: List[Dict[str, Any]] = []
@@ -103,7 +125,9 @@ class HttpAppNode:
 
     def subscribe(self, subscription_address: str, activity_id: str) -> None:
         """Subscribe this node's app endpoint to an activity."""
-        self.node.runtime.send(
+        _on_node_loop(
+            self.node,
+            self.node.runtime.send,
             subscription_address,
             SUBSCRIBE_ACTION,
             value={"activity": activity_id, "participant": self.app_address},
@@ -129,7 +153,7 @@ class HttpDisseminator(HttpAppNode):
         seed: int = 0,
     ) -> None:
         super().__init__(host, port)
-        self.scheduler = ThreadScheduler()
+        self.scheduler = AioScheduler(self.node.loop)
         self.gossip_layer = GossipLayer(
             runtime=self.node.runtime,
             scheduler=self.scheduler,
@@ -139,6 +163,13 @@ class HttpDisseminator(HttpAppNode):
         )
         self.node.runtime.chain.add_first(self.gossip_layer)
         self.node.runtime.add_service("/gossip", GossipService(self.gossip_layer))
+
+    def refresh_view(self, activity_id: str) -> None:
+        """Re-register with the coordinator for a fresh peer sample."""
+        _on_node_loop(
+            self.node,
+            lambda: self.gossip_layer.engine_for(activity_id).refresh_view(),
+        )
 
     def stop(self) -> None:
         """Cancel gossip timers and shut the server down."""
@@ -167,7 +198,9 @@ class HttpInitiator(HttpDisseminator):
             if on_ready is not None:
                 on_ready(engine)
 
-        self.node.runtime.send(
+        _on_node_loop(
+            self.node,
+            self.node.runtime.send,
             activation_address,
             CREATE_ACTION,
             value={
@@ -179,4 +212,6 @@ class HttpInitiator(HttpDisseminator):
 
     def publish(self, activity_id: str, action: str, value: Any) -> str:
         """Disseminate one invocation; returns its gossip id."""
-        return self.activities[activity_id].publish(action, value)
+        return _on_node_loop(
+            self.node, self.activities[activity_id].publish, action, value
+        )

@@ -466,21 +466,10 @@ class DurabilityPolicy:
         )
 
 
-def __getattr__(name: str):
-    # RECOVERY_STATS used to be re-exported here; delegate to the metrics
-    # module so the deprecation story is identical everywhere.
-    if name == "RECOVERY_STATS":
-        from repro.simnet import metrics
-
-        return metrics.RECOVERY_STATS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DurabilityPolicy",
     "FileGossipLog",
     "GossipLog",
     "MemoryGossipLog",
     "ReplayResult",
-    "RECOVERY_STATS",
 ]

@@ -7,19 +7,15 @@ machinery.
 
 The stat groups (:class:`WireStats`, :class:`BatchStats`,
 :class:`HealthStats`, :class:`RecoveryStats`, :class:`ControlStats`,
-:class:`OverloadStats`) used
-to be module-level singletons.  They are now plain value objects owned by a
+:class:`OverloadStats`) are plain value objects owned by a
 :class:`repro.obs.MetricsHub`; each group may chain to a parent group so
-per-simulation hubs still feed the process-wide default hub.  The old
-module-level names (``WIRE_STATS`` et al.) keep working as deprecated
-aliases for the default hub's groups -- see the module ``__getattr__`` at
-the bottom.
+per-simulation hubs still feed the process-wide default hub, whose
+aggregates the benchmarks read.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 
@@ -202,9 +198,11 @@ class StatGroup:
     Each instance may chain to a ``parent`` group of the same shape.
     Writing a field (``stats.x += 1``) propagates the delta up the parent
     chain, so a per-simulation hub's groups also feed the process-wide
-    default hub -- that is what keeps the deprecated module-level aliases
-    meaningful.  :meth:`reset` zeroes fields *without* propagating (a
-    benchmark resetting its own group must not erase history upstream).
+    default hub -- the mesh-wide aggregates the benchmark harness
+    (``perfbench`` wire stats, the live soak) reads from
+    :func:`repro.obs.default_hub`.  :meth:`reset` zeroes fields *without*
+    propagating (a benchmark resetting its own group must not erase
+    history upstream).
     """
 
     # Subclasses list their counter fields here; ``_FIELDS`` is the same
@@ -608,33 +606,3 @@ class MetricsRegistry:
             f"MetricsRegistry(counters={len(self._counters)}, "
             f"histograms={len(self._histograms)}, series={len(self._series)})"
         )
-
-
-# -- deprecated module-level singletons ---------------------------------------
-
-#: Old singleton name -> attribute of the default MetricsHub it now aliases.
-_DEPRECATED_STATS = {
-    "WIRE_STATS": "wire",
-    "BATCH_STATS": "batch",
-    "HEALTH_STATS": "health",
-    "RECOVERY_STATS": "recovery",
-    "CONTROL_STATS": "control",
-    "OVERLOAD_STATS": "overload",
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 hook: the retired ``*_STATS`` singletons resolve to the
-    default hub's stat groups, with a :class:`DeprecationWarning`."""
-    group = _DEPRECATED_STATS.get(name)
-    if group is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"{name} is deprecated; use repro.obs.default_hub().{group} "
-        f"(or the hub owned by your Network/GossipGroup)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.obs.hub import default_hub
-
-    return getattr(default_hub(), group)

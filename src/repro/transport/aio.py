@@ -1,9 +1,8 @@
 """Asyncio real-network transports: UDP datagrams and keep-alive HTTP.
 
-The synchronous localhost binding (:mod:`repro.transport.http`) spends a
-thread per request, which caps a live mesh at a few dozen nodes.  This
-module runs the same middleware stack over real sockets on **one event
-loop**, so hundreds to thousands of nodes fit in a single process:
+This module runs the middleware stack over real sockets on **one event
+loop**, with no thread per request, so hundreds to thousands of nodes fit
+in a single process:
 
 * :class:`AioUdpTransport` -- one datagram socket per node; an envelope
   (or a multi-rumor :class:`~repro.core.batch.GossipBatch` frame up to
@@ -23,8 +22,8 @@ Both transports subclass :class:`~repro.transport.base.ResilientTransport`
 and keep its whole observable contract -- bounded retry with backoff,
 per-destination circuit breakers, structured
 :class:`~repro.transport.base.SendOutcome` listeners, ``inject_fault`` --
-but run the orchestration as a coroutine per logical send instead of
-blocking a worker thread.
+but run the orchestration as a coroutine per logical send, so no thread
+blocks on a socket.
 
 Sync facade: ``send(address, data)`` stays an ordinary synchronous call.
 From outside the loop it schedules the send coroutine thread-safely; from
@@ -66,7 +65,6 @@ from repro.transport.edge import (
     HEALTH_PATH,
     IDEMPOTENCY_KEY_HEADER,
     JSON_CONTENT_TYPE,
-    LEGACY_METRICS_PATH,
     METRICS_PATH,
     PROMETHEUS_CONTENT_TYPE,
     EdgeAdmission,
@@ -85,6 +83,7 @@ _STATUS_REASONS = {
     200: "OK",
     202: "Accepted",
     204: "No Content",
+    400: "Bad Request",
     404: "Not Found",
     429: "Too Many Requests",
 }
@@ -419,8 +418,8 @@ class AsyncResilientTransport(ResilientTransport):
 
     def _emit(self, outcome: SendOutcome) -> None:
         if not outcome.ok:
-            # Best-effort one-way messaging, like the sync HTTP binding:
-            # gossip redundancy covers losses; the counter records them.
+            # Best-effort one-way messaging, like a lost datagram: gossip
+            # redundancy covers losses; the counter records them.
             self.send_errors += 1
         super()._emit(outcome)
 
@@ -900,9 +899,12 @@ class AsyncHttpNode(_AsyncNodeBase):
     * ``GET /v1/metrics`` -- the node's hub, Prometheus text format.
     * ``GET /v1/health`` -- liveness JSON.
 
-    Legacy unversioned paths still answer, with a ``Deprecation`` header.
-    Thousands of connections share the one event loop; no thread per
-    request.
+    A POST to a legacy unversioned path still ingests, with a
+    ``Deprecation`` header.  A malformed request (an unparseable request
+    line or ``Content-Length``, or a line over the reader's 64 KiB limit)
+    is answered ``400`` with ``Connection: close`` and counted as
+    ``wire.malformed{layer="http"}`` on the node's hub.  Thousands of
+    connections share the one event loop; no thread per request.
     """
 
     scheme = "http"
@@ -954,7 +956,17 @@ class AsyncHttpNode(_AsyncNodeBase):
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ValueError:
+                    # Broken framing: the stream cannot be resynchronized,
+                    # so answer once and drop the connection.
+                    self.hub.labeled_counter(
+                        "wire.malformed", {"layer": "http"}
+                    ).inc()
+                    writer.write(self._render_response(400, {}, b"", False))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -978,12 +990,18 @@ class AsyncHttpNode(_AsyncNodeBase):
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
+        """One ``(method, path, headers, body)``, or ``None`` at end of stream.
+
+        Raises:
+            ValueError: the request is malformed.  ``readline`` raises it
+                too, for a line over the reader's limit.
+        """
         request_line = await reader.readline()
         if not request_line:
             return None
         parts = request_line.split()
         if len(parts) < 2:
-            return None
+            raise ValueError(f"malformed request line: {request_line[:64]!r}")
         method = parts[0].decode("latin-1").upper()
         path = parts[1].decode("latin-1")
         headers: Dict[str, str] = {}
@@ -995,7 +1013,10 @@ class AsyncHttpNode(_AsyncNodeBase):
                 return None
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        length_text = headers.get("content-length") or "0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ValueError(f"malformed Content-Length: {length_text[:64]!r}")
+        length = int(length_text)
         body = await reader.readexactly(length) if length > 0 else b""
         return method, path, headers, body
 
@@ -1028,15 +1049,13 @@ class AsyncHttpNode(_AsyncNodeBase):
                 )
                 return 200, {"Content-Type": JSON_CONTENT_TYPE}, payload
             # Observability read models get the raw path: pagination rides
-            # in the query string (shared with the sync binding).
+            # in the query string.
             obs = obs_response(hub_of(self.runtime.metrics), raw_path)
             if obs is not None:
                 return obs
-            if path in (METRICS_PATH, LEGACY_METRICS_PATH):
+            if path == METRICS_PATH:
                 text = prometheus_text(hub_of(self.runtime.metrics))
                 extra = {"Content-Type": PROMETHEUS_CONTENT_TYPE}
-                if path == LEGACY_METRICS_PATH:
-                    extra.update(deprecation_headers(METRICS_PATH))
                 return 200, extra, text.encode("utf-8")
         return 404, {}, b""
 

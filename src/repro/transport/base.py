@@ -5,9 +5,10 @@ the resilient send path every transport shares
 (:class:`ResilientTransport`): bounded retry with exponential backoff and
 jitter, a per-destination circuit breaker, and structured
 :class:`SendOutcome` callbacks that replace silent error counters.  The
-HTTP and simulator bindings subclass it and only supply the single-attempt
-``_send_once`` plus a timer (``_defer``); the orchestration -- when to
-retry, when to stop trying a peer, what to report -- lives here once.
+simulator binding subclasses it and only supplies the single-attempt
+``_send_once`` plus a timer (``_defer``); the asyncio bindings run the same
+orchestration as one coroutine per send.  When to retry, when to stop
+trying a peer and what to report are decided here once.
 """
 
 from __future__ import annotations
@@ -247,8 +248,8 @@ class ResilientTransport:
     """Shared resilient send path: breaker gate, bounded retry, outcomes.
 
     Subclasses implement :meth:`_send_once` (one attempt, raising on
-    failure) and usually :meth:`_defer` (how to wait before a retry --
-    simulator timer, worker-thread sleep...).  The default configuration
+    failure) and usually :meth:`_defer` (how to wait before a retry, e.g.
+    a simulator timer).  The default configuration
     (no retries, no breaker, no listeners) makes :meth:`send` behave
     exactly like a bare fire-and-forget transport, so resilience is
     strictly opt-in.
@@ -349,9 +350,6 @@ class ResilientTransport:
 
     def send(self, address: str, data: bytes) -> None:
         """Send through the breaker gate, retrying failures with backoff."""
-        self._start_send(address, data)
-
-    def _start_send(self, address: str, data: bytes) -> None:
         breaker = self.breaker_for(address)
         if breaker is not None:
             with self._breaker_lock:
@@ -445,7 +443,7 @@ class ResilientTransport:
         """Wait ``delay`` seconds, then run ``callback`` (retry path).
 
         The default retries immediately; transports with a real notion of
-        time (simulator timers, worker threads) override this.
+        time (simulator timers) override this.
         """
         callback()
 

@@ -1,9 +1,8 @@
-"""The versioned node-edge API shared by the HTTP server bindings.
+"""The versioned node-edge API served by the HTTP node edge.
 
-Both real-network edges -- the thread-per-request
-:class:`~repro.transport.http.HttpNode` and the asyncio
-:class:`~repro.transport.aio.AsyncHttpNode` -- expose the same URL space,
-defined here once (see docs/WIRE.md, "The versioned node-edge API"):
+The real-network HTTP edge, :class:`~repro.transport.aio.AsyncHttpNode`,
+exposes this URL space, defined here apart from the socket handling (see
+docs/WIRE.md, "The versioned node-edge API"):
 
 * ``POST /v1/gossip``  -- envelope ingest (the WS-Addressing ``To`` header
   routes to the mounted service; the HTTP path is just the front door).
@@ -17,9 +16,8 @@ defined here once (see docs/WIRE.md, "The versioned node-edge API"):
   ``?offset=&limit=`` and answer a stable envelope
   ``{"items", "offset", "limit", "total", "next_offset"}``.
 
-Legacy unversioned paths (``POST`` to any path, ``GET /metrics``) keep
-working but answer with a ``Deprecation: true`` header and a ``Link`` to
-the successor resource.
+A ``POST`` to a legacy unversioned path keeps working but answers with a
+``Deprecation: true`` header and a ``Link`` to the successor resource.
 
 Ingest is idempotent: an ``Idempotency-Key`` request header (falling back
 to the wire gossip ``MessageId`` scanned from the body bytes) is checked
@@ -52,7 +50,6 @@ API_VERSION = "v1"
 GOSSIP_PATH = "/v1/gossip"
 METRICS_PATH = "/v1/metrics"
 HEALTH_PATH = "/v1/health"
-LEGACY_METRICS_PATH = "/metrics"
 OBS_PREFIX = "/v1/obs/"
 OBS_SUMMARY_PATH = "/v1/obs/summary"
 OBS_RUMORS_PATH = "/v1/obs/rumors"
@@ -107,8 +104,7 @@ class EdgeAdmission:
 
     One bucket per node edge (not per client): the bucket models the
     node's processing capacity, which every sender shares.  Thread-safe,
-    because the thread-per-request binding admits from handler threads
-    while the asyncio binding admits from the loop.
+    so an edge may admit from any thread, not only its event loop.
 
     Args:
         rate: sustained requests per second the edge admits.
@@ -337,9 +333,8 @@ def obs_response(
 ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
     """Serve one ``GET /v1/obs/*`` request from ``hub``, or ``None``.
 
-    ``raw_path`` keeps its query string (pagination).  Shared verbatim by
-    the thread-per-request and asyncio HTTP bindings so both speak the
-    same read-model dialect.  Unknown ``/v1/obs/`` subpaths answer 404.
+    ``raw_path`` keeps its query string (pagination).  Unknown
+    ``/v1/obs/`` subpaths answer 404.
     """
     path, _, query = raw_path.partition("?")
     if not path.startswith(OBS_PREFIX):

@@ -3,12 +3,11 @@
 import threading
 import time
 
-import pytest
-
-from repro.core.scheduling import ProcessScheduler, ThreadScheduler
+from repro.core.scheduling import ProcessScheduler
 from repro.simnet.events import Simulator
 from repro.simnet.network import Network
 from repro.simnet.process import Process
+from repro.transport.aio import AioScheduler, shared_loop
 
 
 class TestProcessScheduler:
@@ -49,30 +48,32 @@ class TestProcessScheduler:
         assert fired == []
 
 
-class TestThreadScheduler:
+class TestAioScheduler:
     def test_fires_on_wall_clock(self):
-        scheduler = ThreadScheduler()
+        scheduler = AioScheduler(shared_loop())
         event = threading.Event()
         scheduler.call_after(0.02, event.set)
         assert event.wait(timeout=2.0)
         scheduler.close()
 
     def test_now_is_monotonic(self):
-        scheduler = ThreadScheduler()
+        scheduler = AioScheduler(shared_loop())
         first = scheduler.now
         time.sleep(0.01)
         assert scheduler.now > first
         scheduler.close()
 
     def test_close_cancels_pending(self):
-        scheduler = ThreadScheduler()
+        scheduler = AioScheduler(shared_loop())
         fired = threading.Event()
         scheduler.call_after(0.2, fired.set)
         scheduler.close()
         assert not fired.wait(timeout=0.4)
 
     def test_call_after_close_is_noop(self):
-        scheduler = ThreadScheduler()
+        scheduler = AioScheduler(shared_loop())
         scheduler.close()
-        timer = scheduler.call_after(0.01, lambda: None)
-        timer.cancel()  # null timer supports the interface
+        fired = threading.Event()
+        timer = scheduler.call_after(0.01, fired.set)
+        timer.cancel()  # the null handle supports the interface
+        assert not fired.wait(timeout=0.1)

@@ -1,27 +1,29 @@
 """Concurrency smoke test for the real-HTTP binding.
 
-The threaded HTTP server invokes the runtime from many handler threads at
-once; this guards the receive path against lost updates at realistic
-example-scale rates.
+Several senders POST at once over pooled, pipelined keep-alive
+connections, and many requests await replies at the same time; this
+guards the receive path and reply matching against lost messages at
+realistic example-scale rates.
 """
 
-import threading
 import time
 
 from repro.soap.service import Service, operation
-from repro.transport.http import HttpNode
+from repro.transport.aio import AsyncHttpNode, shared_loop
+
+
+def http_node():
+    return AsyncHttpNode(loop=shared_loop())
 
 
 class CountingService(Service):
     def __init__(self):
         super().__init__()
-        self.lock = threading.Lock()
         self.values = []
 
     @operation("urn:t/Hit")
     def hit(self, context, value):
-        with self.lock:
-            self.values.append(value)
+        self.values.append(value)
         return None
 
 
@@ -35,10 +37,10 @@ def wait_for(predicate, timeout=15.0):
 
 
 def test_concurrent_one_way_messages_all_arrive():
-    with HttpNode() as server:
+    with http_node() as server:
         service = CountingService()
         server.runtime.add_service("/svc", service)
-        senders = [HttpNode() for _ in range(4)]
+        senders = [http_node() for _ in range(4)]
         try:
             for sender in senders:
                 sender.start()
@@ -58,7 +60,7 @@ def test_concurrent_one_way_messages_all_arrive():
 
 
 def test_concurrent_request_reply():
-    with HttpNode() as server, HttpNode() as client:
+    with http_node() as server, http_node() as client:
 
         class Echo(Service):
             @operation("urn:t/Echo")
@@ -67,17 +69,11 @@ def test_concurrent_request_reply():
 
         server.runtime.add_service("/echo", Echo())
         replies = []
-        lock = threading.Lock()
-
-        def on_reply(context, value):
-            with lock:
-                replies.append(value)
-
         total = 40
         for index in range(total):
             client.runtime.send(
                 f"{server.base_address}/echo", "urn:t/Echo", value=index,
-                on_reply=on_reply,
+                on_reply=lambda context, value: replies.append(value),
             )
         assert wait_for(lambda: len(replies) == total)
         assert sorted(reply["echo"] for reply in replies) == list(range(total))

@@ -64,7 +64,7 @@ def test_figure1_over_real_http(deployment):
         ) >= 4
     ), "subscriptions did not reach the coordinator"
 
-    engines[0].refresh_view()
+    initiator.refresh_view(activity_id)
     assert wait_for(lambda: len(engines[0].view) >= 3), "view refresh failed"
 
     gossip_id = initiator.publish(activity_id, ACTION, {"symbol": "SWX", "px": 4.2})

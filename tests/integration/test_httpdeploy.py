@@ -79,10 +79,39 @@ def test_activation_and_publish_over_http():
                 coordinator.coordinator.activity(activity_id).participants
             ) >= 2
         )
-        engines[0].refresh_view()
+        initiator.refresh_view(activity_id)
         assert wait_for(lambda: len(engines[0].view) >= 1)
         gossip_id = initiator.publish(activity_id, "urn:t/Event", {"n": 1})
         assert wait_for(lambda: consumer.has_delivered(gossip_id))
+    finally:
+        for node in nodes:
+            node.stop()
+
+
+def test_publish_from_caller_thread_runs_engine_on_loop_thread():
+    from repro.transport.aio import _on_loop
+
+    coordinator = HttpCoordinator(seed=1)
+    initiator = HttpInitiator(seed=2)
+    nodes = [coordinator, initiator]
+    try:
+        for node in nodes:
+            node.start()
+        engines = []
+        initiator.activate(coordinator.activation_address, on_ready=engines.append)
+        assert wait_for(lambda: bool(engines))
+        engine = engines[0]
+        on_loop = []
+        publish = engine.publish
+
+        def recording_publish(*args, **kwargs):
+            on_loop.append(_on_loop(initiator.node.loop))
+            return publish(*args, **kwargs)
+
+        engine.publish = recording_publish
+        gossip_id = initiator.publish(engine.activity_id, "urn:t/Event", {"n": 1})
+        assert gossip_id
+        assert on_loop == [True]
     finally:
         for node in nodes:
             node.stop()

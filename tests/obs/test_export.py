@@ -130,17 +130,18 @@ def test_prometheus_name_sanitization_and_label_escaping():
 
 
 def test_metrics_endpoint_serves_prometheus():
-    from repro.transport.http import HttpNode
+    from repro.transport.aio import AsyncHttpNode, shared_loop
 
-    with HttpNode() as node:
+    with AsyncHttpNode(loop=shared_loop()) as node:
         node.hub.counter("soap.sent").inc(3)
-        with urllib.request.urlopen(f"{node.base_address}/metrics") as response:
+        with urllib.request.urlopen(f"{node.base_address}/v1/metrics") as response:
             assert response.status == 200
             assert response.headers["Content-Type"].startswith("text/plain")
             body = response.read().decode("utf-8")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{node.base_address}/nope")
         assert err.value.code == 404
+        err.value.close()
     assert_valid_prometheus(body)
     assert "repro_soap_sent 3" in body
 

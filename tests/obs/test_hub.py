@@ -1,6 +1,4 @@
-"""The MetricsHub: scoping, chaining, node labels, deprecated aliases."""
-
-import warnings
+"""The MetricsHub: scoping, chaining, node labels."""
 
 import pytest
 
@@ -117,29 +115,16 @@ def test_hub_reset_keeps_bound_objects_live():
 
 
 @pytest.mark.parametrize(
-    "alias, group",
+    "module, alias",
     [
-        ("WIRE_STATS", "wire"),
-        ("BATCH_STATS", "batch"),
-        ("HEALTH_STATS", "health"),
-        ("RECOVERY_STATS", "recovery"),
+        ("repro", "WIRE_STATS"),
+        ("repro.simnet.metrics", "WIRE_STATS"),
+        ("repro.simnet.metrics", "OVERLOAD_STATS"),
+        ("repro.core.store", "RECOVERY_STATS"),
     ],
 )
-def test_deprecated_aliases_warn_and_resolve_to_default_hub(alias, group):
-    from repro.simnet import metrics
+def test_removed_stats_aliases_raise_attribute_error(module, alias):
+    import importlib
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolved = getattr(metrics, alias)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert resolved is getattr(default_hub(), group)
-
-
-def test_deprecated_aliases_reachable_from_repro_package():
-    import repro
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolved = repro.HEALTH_STATS
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert resolved is default_hub().health
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module), alias)

@@ -2,9 +2,10 @@
 
 The resilient-contract behaviour shared with the other bindings lives in
 ``test_contract.py``; this module covers what is specific to the asyncio
-family -- the ``/v1`` URL space and its deprecation headers, idempotent
-replay detection, connection reuse under pipelining, the UDP datagram
-ceiling, and a small live mesh end to end.
+family -- node-to-node one-way and request/reply messaging, the ``/v1``
+URL space, malformed-request handling, idempotent replay detection,
+connection reuse under pipelining, the UDP datagram ceiling, and a small
+live mesh end to end.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.wsa.addressing import AddressingHeaders
 
 ACTION = "urn:t/Take"
 BROKEN_ACTION = "urn:t/Broken"
+ECHO_ACTION = "urn:t/Echo"
 
 
 class Sink(Service):
@@ -43,6 +45,10 @@ class Sink(Service):
     @operation(BROKEN_ACTION)
     def broken(self, context, value):
         raise RuntimeError("service bug")
+
+    @operation(ECHO_ACTION)
+    def echo(self, context, value):
+        return {"echo": value}
 
 
 def wait_for(predicate, timeout=5.0):
@@ -64,6 +70,12 @@ def node():
 
 
 @pytest.fixture
+def peer():
+    with AsyncHttpNode(loop=shared_loop()) as served:
+        yield served
+
+
+@pytest.fixture
 def client():
     transport = AioHttpTransport(loop=shared_loop())
     yield transport
@@ -76,6 +88,32 @@ def fetch(client, url, headers=None):
 
 def post(client, url, body, headers=None):
     return run_on_loop(shared_loop(), client.post(url, body, headers=headers))
+
+
+class TestNodeToNode:
+    def test_one_way_over_http(self, node, peer):
+        peer.runtime.send(f"{node.base_address}/svc", ACTION, value="hello")
+        assert wait_for(lambda: node.sink.values == ["hello"])
+
+    def test_request_reply_over_http(self, node, peer):
+        replies = []
+        peer.runtime.send(
+            f"{node.base_address}/svc", ECHO_ACTION, value={"n": 7},
+            on_reply=lambda context, value: replies.append(value),
+        )
+        assert wait_for(lambda: replies == [{"echo": {"n": 7}}])
+
+    def test_send_to_dead_port_is_best_effort(self, peer):
+        before = peer.transport.send_errors
+        peer.runtime.send("http://127.0.0.1:1/nowhere", ACTION, value=1)
+        assert wait_for(lambda: peer.transport.send_errors == before + 1)
+
+    def test_context_manager_stops_server(self, peer):
+        with AsyncHttpNode(loop=shared_loop()) as stopped:
+            address = stopped.base_address
+        before = peer.transport.send_errors
+        peer.runtime.send(f"{address}/svc", ACTION, value=1)
+        assert wait_for(lambda: peer.transport.send_errors == before + 1)
 
 
 class TestVersionedEdge:
@@ -93,12 +131,9 @@ class TestVersionedEdge:
         assert headers["content-type"].startswith("text/plain")
         assert "deprecation" not in headers
 
-    def test_legacy_metrics_answers_with_deprecation(self, node, client):
-        status, headers, _ = fetch(client, f"{node.base_address}/metrics")
-        assert status == 200
-        assert headers["deprecation"] == "true"
-        assert 'rel="successor-version"' in headers["link"]
-        assert "/v1/metrics" in headers["link"]
+    def test_legacy_metrics_path_is_gone(self, node, client):
+        status, _, _ = fetch(client, f"{node.base_address}/metrics")
+        assert status == 404
 
     def test_unknown_path_is_404(self, node, client):
         status, _, _ = fetch(client, f"{node.base_address}/nope")
@@ -108,6 +143,39 @@ class TestVersionedEdge:
         status, headers, _ = post(client, f"{node.base_address}/gossip", b"<x/>")
         assert status == 202
         assert headers["deprecation"] == "true"
+
+
+LONG = b"a" * 70000
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"POST /v1/gossip HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        # A negative length must not turn the body into the next request.
+        b"POST /v1/gossip HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        b"GET /v1/health HTTP/1.1\r\n\r\n",
+        b"GET /" + LONG + b" HTTP/1.1\r\n\r\n",
+        b"GET /v1/health HTTP/1.1\r\nX-Long: " + LONG + b"\r\n\r\n",
+    ],
+    ids=["content-length-abc", "content-length-negative",
+         "request-line-over-limit", "header-line-over-limit"],
+)
+def test_malformed_request_answers_400_and_is_counted(node, raw):
+    import socket
+
+    malformed = node.hub.labeled_counter("wire.malformed", {"layer": "http"})
+    before = malformed.value
+    with socket.create_connection((node.host, node.port), timeout=5.0) as sock:
+        sock.sendall(raw)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head = response.split(b"\r\n\r\n", 1)[0]
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head.split(b"\r\n")
+    assert response.count(b"HTTP/1.1") == 1  # nothing served after it
+    assert malformed.value == before + 1
 
 
 class TestIdempotentIngest:

@@ -1,11 +1,11 @@
 """The ResilientTransport contract, exercised across every binding.
 
 One parametrized harness runs the same assertions over the loopback
-transport, the thread-pool HTTP binding, and both asyncio bindings
-(UDP datagrams, pipelined keep-alive HTTP): envelopes are delivered,
-every logical send emits exactly one structured SendOutcome, injected
-faults are retried per policy, repeated failures open the per-destination
-circuit breaker, and a half-open probe closes it again.
+transport and both asyncio bindings (UDP datagrams, pipelined keep-alive
+HTTP): envelopes are delivered, every logical send emits exactly one
+structured SendOutcome, injected faults are retried per policy, repeated
+failures open the per-destination circuit breaker, a half-open probe
+closes it again, and a scheme-less address is rejected synchronously.
 
 Failures are driven through ``inject_fault`` -- not dead ports -- so the
 scenarios are identical for every binding, including UDP (where a real
@@ -25,7 +25,6 @@ from repro.transport.base import (
     LoopbackTransport,
     RetryPolicy,
 )
-from repro.transport.http import HttpNode, HttpTransport
 
 ACTION = "urn:t/Take"
 
@@ -56,9 +55,6 @@ def wait_for(predicate, timeout=5.0):
 class Harness:
     """One binding under test: a sink node plus a sender transport."""
 
-    #: send() raises ValueError synchronously on a scheme-less address.
-    eager_misuse = True
-
     def close(self):
         pass
 
@@ -72,24 +68,6 @@ class LoopbackHarness(Harness):
         self.transport.register(receiver)
         self.sender = SoapRuntime("test://sender", self.transport)
         self.address = "test://sink/svc"
-
-
-class SyncHttpHarness(Harness):
-    # The thread-pool binding validates on the worker thread, not eagerly.
-    eager_misuse = False
-
-    def __init__(self):
-        self.node = HttpNode()
-        self.sink = Sink()
-        self.node.runtime.add_service("/svc", self.sink)
-        self.node.start()
-        self.transport = HttpTransport()
-        self.sender = SoapRuntime("http://contract-sender", self.transport)
-        self.address = f"{self.node.base_address}/svc"
-
-    def close(self):
-        self.transport.close()
-        self.node.stop()
 
 
 class AioUdpHarness(Harness):
@@ -128,7 +106,6 @@ class AioHttpHarness(Harness):
 
 HARNESSES = {
     "loopback": LoopbackHarness,
-    "http-sync": SyncHttpHarness,
     "aio-udp": AioUdpHarness,
     "aio-http": AioHttpHarness,
 }
@@ -224,7 +201,5 @@ def test_half_open_probe_closes_the_breaker(harness):
 
 
 def test_schemeless_address_is_misuse(harness):
-    if not harness.eager_misuse:
-        pytest.skip("thread-pool binding validates on the worker thread")
     with pytest.raises(ValueError):
         harness.transport.send("just/a/path", b"<xml/>")

@@ -1,71 +1,25 @@
-"""Tests for the real localhost HTTP binding."""
+"""The asyncio HTTP edge driven from plain blocking code.
 
-import threading
-import time
+``AsyncHttpNode`` is started and stopped through its synchronous facade
+(the context manager over the shared loop) and spoken to with
+``urllib`` from the caller's thread, the way a non-asyncio client would.
+"""
+
+import urllib.error
+import urllib.request
 
 import pytest
 
-from repro.soap.service import Service, operation
-from repro.transport.http import HttpNode
-
-
-class EchoService(Service):
-    def __init__(self):
-        super().__init__()
-        self.one_way = []
-
-    @operation("urn:t/Echo")
-    def echo(self, context, value):
-        return {"echo": value}
-
-    @operation("urn:t/OneWay")
-    def take(self, context, value):
-        self.one_way.append(value)
-        return None
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return False
+from repro.transport.aio import AsyncHttpNode, shared_loop
 
 
 @pytest.fixture
-def nodes():
-    with HttpNode() as server, HttpNode() as client:
-        server.runtime.add_service("/svc", EchoService())
-        yield server, client
-
-
-def test_one_way_over_http(nodes):
-    server, client = nodes
-    client.runtime.send(f"{server.base_address}/svc", "urn:t/OneWay", value="hello")
-    assert wait_for(lambda: server.runtime.service_at("/svc").one_way == ["hello"])
-
-
-def test_request_reply_over_http(nodes):
-    server, client = nodes
-    replies = []
-    client.runtime.send(
-        f"{server.base_address}/svc", "urn:t/Echo", value={"n": 7},
-        on_reply=lambda context, value: replies.append(value),
-    )
-    assert wait_for(lambda: replies == [{"echo": {"n": 7}}])
-
-
-def test_send_to_dead_port_is_best_effort(nodes):
-    server, client = nodes
-    before = client.transport.send_errors
-    client.runtime.send("http://127.0.0.1:1/nowhere", "urn:t/OneWay", value=1)
-    assert wait_for(lambda: client.transport.send_errors == before + 1)
+def server():
+    with AsyncHttpNode(loop=shared_loop()) as node:
+        yield node
 
 
 def _request(url, data=None, headers=None, method=None):
-    import urllib.request
-
     request = urllib.request.Request(
         url, data=data, headers=headers or {}, method=method
     )
@@ -73,22 +27,20 @@ def _request(url, data=None, headers=None, method=None):
         return response.status, dict(response.headers), response.read()
 
 
-def test_versioned_edge_paths(nodes):
-    server, _ = nodes
+def test_versioned_edge_paths(server):
     status, _, body = _request(f"{server.base_address}/v1/health")
     assert status == 200
     assert b'"status": "ok"' in body
     status, headers, _ = _request(f"{server.base_address}/v1/metrics")
     assert status == 200
     assert "Deprecation" not in headers
-    status, headers, _ = _request(f"{server.base_address}/metrics")
-    assert status == 200
-    assert headers["Deprecation"] == "true"
-    assert "/v1/metrics" in headers["Link"]
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _request(f"{server.base_address}/metrics")
+    assert excinfo.value.code == 404
+    excinfo.value.close()
 
 
-def test_idempotent_replay_over_sync_http(nodes):
-    server, _ = nodes
+def test_idempotent_replay_over_sync_http(server):
     url = f"{server.base_address}/v1/gossip"
     keyed = {"Idempotency-Key": "pub-7"}
     before = server.hub.wire.idempotent_replays
@@ -98,18 +50,3 @@ def test_idempotent_replay_over_sync_http(nodes):
     assert status == 200
     assert headers["Idempotent-Replay"] == "true"
     assert server.hub.wire.idempotent_replays == before + 1
-
-
-def test_context_manager_stops_server():
-    node = HttpNode()
-    node.start()
-    address = node.base_address
-    node.stop()
-    other = HttpNode()
-    other.start()
-    try:
-        before = other.transport.send_errors
-        other.runtime.send(f"{address}/svc", "urn:t/OneWay", value=1)
-        assert wait_for(lambda: other.transport.send_errors == before + 1)
-    finally:
-        other.stop()
